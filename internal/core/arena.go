@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"lamps/internal/energy"
 	"lamps/internal/power"
@@ -27,19 +28,41 @@ type arena struct {
 	sc scheduler
 
 	cands []candidate // phase-2 candidate set, value slice
-	pairs []evalPair  // flattened (candidate, level/point) sweep pairs
+	pairs []evalPair  // flattened (candidate, operating point) sweep pairs
 	prio  []int64     // EDF priority scratch for engines without a warm memo
 }
 
 // evalPair is one (candidate, operating point) leaf work item of a +PS
-// sweep. The homogeneous path fills lvl, the heterogeneous path pt; both
-// reduce through the same slice so the two sweeps share one arena buffer.
+// sweep.
 type evalPair struct {
 	c   *candidate
-	lvl power.Level
 	pt  power.OperatingPoint
 	b   energy.Breakdown
 	err error
+}
+
+// singleClassMemo holds the single-class platform of the most recent Model
+// config. Platforms are immutable, so sharing one across runs and
+// goroutines is safe; a run on another model or on a wider graph replaces
+// it. One entry keeps configs that build a fresh model per run from
+// accumulating platforms.
+var singleClassMemo atomic.Pointer[power.Platform]
+
+// singleClass returns the single-class platform of model m with at least n
+// processors: the paper's identical-processor machine on the one platform
+// path. Its grid is m's ladder bit for bit, so a Model config schedules and
+// prices exactly as the model itself would. A warm stream of runs on one
+// model reuses the memoised platform instead of building one per run.
+func singleClass(m *power.Model, n int) (*power.Platform, error) {
+	if pf := singleClassMemo.Load(); pf != nil && pf.ClassModel(0) == m && pf.NumProcs() >= n {
+		return pf, nil
+	}
+	pf, err := power.Homogeneous(n, m)
+	if err != nil {
+		return nil, err
+	}
+	singleClassMemo.Store(pf)
+	return pf, nil
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}

@@ -82,15 +82,6 @@ type Config struct {
 	// no fault-tolerance branch at all, so K=0 results are byte-identical to
 	// a config without Faults.
 	Faults *FaultConfig
-
-	// PruneSweep stops each +PS level sweep at the first operating point
-	// whose total energy strictly exceeds the sweep's running minimum,
-	// relying on the total energy of a fixed schedule being unimodal in the
-	// supply voltage. The default (false) sweeps every feasible level
-	// exhaustively, exactly as the paper does, so paper-fidelity results are
-	// unchanged unless this is opted into. Levels skipped by the pruned walk
-	// are counted in Stats.LevelsSkipped.
-	PruneSweep bool
 }
 
 // FaultPolicy selects where backup slots go; re-exported from
@@ -148,9 +139,14 @@ func DeadlineFactor(g *dag.Graph, m *power.Model, factor float64) Config {
 	}
 }
 
-// model returns the single power model of the homogeneous code path: the
-// explicit Model, a homogeneous Platform's only class, or the default. The
-// heterogeneous engine path never consults it.
+// defaultModel is the model of a config that names neither Model nor
+// Platform. One shared instance lets the engine's single-class platform
+// memo recognise it across runs; nothing in the package mutates it.
+var defaultModel = power.Default70nm()
+
+// model returns the single power model of an identical-processor machine:
+// the explicit Model, a homogeneous Platform's only class, or the default.
+// Heterogeneous machines never consult it.
 func (c *Config) model() *power.Model {
 	if c.Model != nil {
 		return c.Model
@@ -158,12 +154,13 @@ func (c *Config) model() *power.Model {
 	if c.Platform != nil {
 		return c.Platform.ClassModel(0)
 	}
-	return power.Default70nm()
+	return defaultModel
 }
 
-// heterogeneous reports whether the config selects the heterogeneous engine
-// path: a platform with more than one core class. A nil or single-class
-// platform runs the legacy homogeneous path bit for bit.
+// heterogeneous reports whether the config describes a machine of more than
+// one core class. It decides what a result reports (a single-class machine
+// keeps Result.Platform nil and Point zero), the width cap of
+// maxUsefulProcs, and which variant the extensions and LIMIT bounds run.
 func (c *Config) heterogeneous() bool {
 	return c.Platform != nil && !c.Platform.IsHomogeneous()
 }

@@ -58,11 +58,13 @@ const (
 // Parallelism: with a non-nil Pool, phase 2 of the LAMPS-family searches
 // builds its candidate schedules and evaluates its (schedule, level) sweeps
 // on the pool's workers. The candidate set is fixed up front — the
-// saturation count is located by binary search under the same makespan
-// monotonicity assumption phase 1 already makes — and results are reduced in
-// the paper's deterministic tie-break order (lowest processor count first,
-// the N_max fallback last, fastest level first), so a parallel engine
-// returns results, including Stats, identical to the serial one.
+// saturation count is located by binary search, which assumes the LS-EDF
+// makespan is monotone in the processor count (the same assumption phase 1
+// makes; Graham's anomalies can break it, see saturationPoint) — and
+// results are reduced in the paper's deterministic tie-break order (lowest
+// processor count first, the N_max fallback last, fastest level first), so
+// a parallel engine returns results, including Stats, identical to the
+// serial one.
 type Engine struct {
 	// Config carries the problem parameters, exactly as for the wrappers.
 	Config Config
@@ -176,16 +178,16 @@ func (h *obsHub) levelEvaluated(lvl power.Level, b energy.Breakdown) {
 }
 
 // run is the per-invocation state shared by the engine's phases, embedded in
-// the request's arena. Exactly one of the two operating modes is active: on
-// the homogeneous path m is the single model and pf is nil; on the
-// heterogeneous path pf is the platform and m is unused. fref is the
-// frequency one schedule cycle corresponds to at full speed in either mode
-// (m.FMax() or pf.RefFMax()). cfg is a value copy so that no run state
-// aliases the (possibly throwaway, stack-allocated) Engine that started it.
+// the request's arena. pf is the machine the run schedules on: the config's
+// platform, or — for a Model config — the single-class platform of that
+// model, so the paper's identical-processor machine is simply the one-class
+// case of the one platform path. fref is the frequency one schedule cycle
+// corresponds to at full speed (pf.RefFMax()). cfg is a value copy so that
+// no run state aliases the (possibly throwaway, stack-allocated) Engine
+// that started it.
 type run struct {
 	ctx  context.Context
 	cfg  Config
-	m    *power.Model
 	pf   *power.Platform
 	fref float64
 	pool *workpool.Pool
@@ -211,17 +213,16 @@ func (e *Engine) newRun(ctx context.Context, g *dag.Graph) (*run, error) {
 	r.cfg = e.Config
 	r.pool = e.Pool
 	r.a = a
-	if e.Config.heterogeneous() {
-		r.pf = e.Config.Platform
-		r.fref = r.pf.RefFMax()
-	} else {
-		// A nil platform — or a homogeneous one, normalised to its only class
-		// model here — takes the legacy single-model path unchanged, which is
-		// what makes homogeneous-platform results byte-identical to the
-		// pre-platform engine (pinned by TestHomogeneousPlatformParity).
-		r.m = e.Config.model()
-		r.fref = r.m.FMax()
+	r.pf = e.Config.Platform
+	if r.pf == nil {
+		pf, err := singleClass(e.Config.model(), e.Config.maxUsefulProcs(g))
+		if err != nil {
+			a.close()
+			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
+		}
+		r.pf = pf
 	}
+	r.fref = r.pf.RefFMax()
 	r.obs.o = e.Observer
 	a.sc.init(ctx, g, e.runPriorities(a, g), &r.obs, e.Config.SelfCheck, r.pf)
 	r.sc = &a.sc
@@ -229,28 +230,21 @@ func (e *Engine) newRun(ctx context.Context, g *dag.Graph) (*run, error) {
 }
 
 // selfCheckResult is the result-level half of Config.SelfCheck: the winning
-// breakdown — produced by the pooled O(log G) GapProfile path — is
-// re-derived with the verifier's naive linear gap walk and must agree bit
-// for bit. The schedule itself was already verified when it was built (see
-// scheduler.at); the limits carry no schedule and are covered by the
-// cross-heuristic invariants instead.
-func (r *run) selfCheckResult(res *Result, ps bool) error {
-	if !r.cfg.SelfCheck || res.Schedule == nil {
+// breakdown at operating point pt — produced by the pooled O(log G)
+// GapProfile path — is re-derived with the verifier's naive linear gap walk
+// and must agree bit for bit. The schedule itself was already verified when
+// it was built (see scheduler.at); the limits carry no schedule and are
+// covered by the cross-heuristic invariants instead.
+func (r *run) selfCheckResult(res *Result, pt power.OperatingPoint, ps bool) error {
+	if !r.cfg.SelfCheck {
 		return nil
 	}
 	var err error
-	switch {
-	case r.pf != nil && res.Backups != nil:
-		err = verify.PlatformEnergyFTMatches(res.Schedule, r.pf, res.Backups, res.Point, r.cfg.Deadline,
+	if res.Backups != nil {
+		err = verify.PlatformEnergyFTMatches(res.Schedule, r.pf, res.Backups, pt, r.cfg.Deadline,
 			energy.Options{PS: ps}, res.Energy)
-	case r.pf != nil:
-		err = verify.PlatformEnergyMatches(res.Schedule, r.pf, res.Point, r.cfg.Deadline,
-			energy.Options{PS: ps}, res.Energy)
-	case res.Backups != nil:
-		err = verify.EnergyFTMatches(res.Schedule, r.m, res.Backups, res.Level, r.cfg.Deadline,
-			energy.Options{PS: ps}, res.Energy)
-	default:
-		err = verify.EnergyMatches(res.Schedule, r.m, res.Level, r.cfg.Deadline,
+	} else {
+		err = verify.PlatformEnergyMatches(res.Schedule, r.pf, pt, r.cfg.Deadline,
 			energy.Options{PS: ps}, res.Energy)
 	}
 	if err != nil {
@@ -287,16 +281,14 @@ func (r *run) each(n int, fn func(i int)) {
 
 // candidate is one processor count under evaluation in phase 2.
 type candidate struct {
-	n       int
-	s       *sched.Schedule
-	plan    *sched.BackupPlan    // fault-tolerant runs: the candidate's backup plan
-	prof    *energy.GapProfile   // pooled; set lazily by profileIn, released by releaseProfiles
-	lvl     power.Level          // homogeneous path: the winning level
-	pt      power.OperatingPoint // heterogeneous path: the winning platform point
-	b       energy.Breakdown
-	levels  int // (schedule, level) evaluations charged to this candidate
-	skipped int // sweep levels pruned by Config.PruneSweep
-	err     error
+	n      int
+	s      *sched.Schedule
+	plan   *sched.BackupPlan    // fault-tolerant runs: the candidate's backup plan
+	prof   *energy.GapProfile   // pooled; set lazily by profileIn, released by releaseProfiles
+	pt     power.OperatingPoint // the winning operating point
+	b      energy.Breakdown
+	levels int // (schedule, level) evaluations charged to this candidate
+	err    error
 }
 
 // feasCycles returns the cycle count the deadline must cover for this
@@ -315,23 +307,14 @@ func (c *candidate) feasCycles() int64 {
 // nothing.
 var profilePool = sync.Pool{New: func() any { return new(energy.GapProfile) }}
 
-// profileIn returns the candidate's gap profile, extracting it from the
-// built schedule on first use — per core class on the heterogeneous path.
+// profileIn returns the candidate's gap profile, extracting it per core
+// class from the built schedule (and its backup plan, if any) on first use.
 // Each candidate is profiled by exactly one goroutine; concurrent
-// Evaluate/EvaluatePoint calls on the finished profile are safe.
+// EvaluatePoint calls on the finished profile are safe.
 func (c *candidate) profileIn(r *run) *energy.GapProfile {
 	if c.prof == nil {
 		c.prof = profilePool.Get().(*energy.GapProfile)
-		switch {
-		case r.pf != nil && c.plan != nil:
-			c.prof.ResetPlatformFT(c.s, r.pf, c.plan)
-		case r.pf != nil:
-			c.prof.ResetPlatform(c.s, r.pf)
-		case c.plan != nil:
-			c.prof.ResetFT(c.s, c.plan)
-		default:
-			c.prof.Reset(c.s)
-		}
+		c.prof.ResetPlatformFT(c.s, r.pf, c.plan)
 	}
 	return c.prof
 }
@@ -391,60 +374,29 @@ func (r *run) planBackups(s *sched.Schedule) (*sched.BackupPlan, error) {
 	return plan, nil
 }
 
-// evalAll picks each candidate's operating point and energy. With sweep
-// (the +PS heuristics) every feasible level is evaluated — in parallel as
-// flat (candidate, level) pairs when a pool is set — unless
-// Config.PruneSweep cuts each walk at the first energy rise. The
-// heterogeneous path runs the same three shapes over the platform's
-// operating grid instead of the single model's ladder.
+// evalAll picks each candidate's operating point and energy. Without PS
+// each candidate runs at its slowest feasible operating point; with PS (the
+// +PS heuristics) every feasible point is evaluated — in parallel as flat
+// (candidate, point) pairs when a pool is set.
 func (r *run) evalAll(cands []candidate, ps bool) {
 	r.obs.phase(PhaseEvaluate)
-	if r.pf != nil {
-		switch {
-		case !ps:
-			r.each(len(cands), func(i int) { r.evalMinPlatform(&cands[i], ps) })
-		case r.cfg.PruneSweep:
-			r.each(len(cands), func(i int) { r.evalPrunedPlatform(&cands[i]) })
-		default:
-			r.evalPairsPlatform(cands)
-		}
-		return
-	}
-	switch {
-	case !ps:
-		r.each(len(cands), func(i int) { r.evalMin(&cands[i], ps) })
-	case r.cfg.PruneSweep:
-		r.each(len(cands), func(i int) { r.evalPruned(&cands[i]) })
-	default:
+	if ps {
 		r.evalPairs(cands)
+		return
 	}
+	r.each(len(cands), func(i int) { r.evalMin(&cands[i]) })
 }
 
-// evalMin evaluates one candidate at its slowest feasible level — the full
-// S&S stretch, used by the non-PS heuristics.
-func (r *run) evalMin(c *candidate, ps bool) {
-	if err := r.ctx.Err(); err != nil {
-		c.err = err
-		return
-	}
-	lvl, err := energy.MinFeasibleLevelCycles(c.feasCycles(), r.m, r.cfg.Deadline)
-	if err != nil {
-		c.err = err
-		return
-	}
-	b, err := c.profileIn(r).Evaluate(r.m, lvl, r.cfg.Deadline, energy.Options{PS: ps})
-	c.levels = 1
-	if err != nil {
-		c.err = err
-		return
-	}
-	c.lvl, c.b = lvl, b
-	r.obs.levelEvaluated(lvl, b)
+// refLevel is the reference class's ladder level of pt: the run's single
+// level on a one-class machine, and the Level reported to observers and
+// homogeneous consumers on any platform.
+func (r *run) refLevel(pt power.OperatingPoint) power.Level {
+	return pt.Levels[r.pf.RefClass()]
 }
 
-// evalMinPlatform is evalMin over the platform grid: the candidate runs at
-// the slowest feasible operating point.
-func (r *run) evalMinPlatform(c *candidate, ps bool) {
+// evalMin evaluates one candidate at its slowest feasible operating point —
+// the full S&S stretch, used by the non-PS heuristics.
+func (r *run) evalMin(c *candidate) {
 	if err := r.ctx.Err(); err != nil {
 		c.err = err
 		return
@@ -454,77 +406,23 @@ func (r *run) evalMinPlatform(c *candidate, ps bool) {
 		c.err = err
 		return
 	}
-	b, err := c.profileIn(r).EvaluatePoint(r.pf, pt, r.cfg.Deadline, energy.Options{PS: ps})
+	b, err := c.profileIn(r).EvaluatePoint(r.pf, pt, r.cfg.Deadline, energy.Options{})
 	c.levels = 1
 	if err != nil {
 		c.err = err
 		return
 	}
-	c.pt, c.lvl, c.b = pt, pt.Levels[r.pf.RefClass()], b
-	r.obs.levelEvaluated(c.lvl, b)
+	c.pt, c.b = pt, b
+	r.obs.levelEvaluated(r.refLevel(pt), b)
 }
 
-// evalPairs evaluates every (candidate, feasible level) pair of the +PS
-// sweep, flattened so that each pair is one leaf work item on the pool — a
-// candidate's sweep never blocks holding a slot — then reduces each
-// candidate's sweep in fastest-level-first order, matching the serial walk
-// exactly. The flat pair slice is arena scratch: cands is fixed-size for the
-// whole sweep, so the *candidate pointers into it stay valid.
+// evalPairs evaluates every (candidate, feasible operating point) pair of
+// the +PS sweep, flattened so that each pair is one leaf work item on the
+// pool — a candidate's sweep never blocks holding a slot — then reduces
+// each candidate's sweep in fastest-point-first order, matching the serial
+// walk exactly. The flat pair slice is arena scratch: cands is fixed-size
+// for the whole sweep, so the *candidate pointers into it stay valid.
 func (r *run) evalPairs(cands []candidate) {
-	pairs := r.a.pairs[:0]
-	for i := range cands {
-		c := &cands[i]
-		if err := r.ctx.Err(); err != nil {
-			c.err = err
-			r.a.pairs = pairs
-			return
-		}
-		levels, err := energy.FeasibleLevelsCycles(c.feasCycles(), r.m, r.cfg.Deadline)
-		if err != nil {
-			c.err = err
-			continue
-		}
-		c.profileIn(r) // extracted once here, shared read-only by all pairs
-		for _, lvl := range levels {
-			pairs = append(pairs, evalPair{c: c, lvl: lvl})
-		}
-	}
-	r.a.pairs = pairs
-	r.each(len(pairs), func(i int) {
-		p := &pairs[i]
-		if err := r.ctx.Err(); err != nil {
-			p.err = err
-			return
-		}
-		p.b, p.err = p.c.prof.Evaluate(r.m, p.lvl, r.cfg.Deadline, energy.Options{PS: true})
-		if p.err == nil {
-			r.obs.levelEvaluated(p.lvl, p.b)
-		}
-	})
-	// Pairs are enumerated per candidate fastest→slowest, so reducing in
-	// slice order with a strict < reproduces the serial sweep's first-wins
-	// tie-break.
-	for i := range pairs {
-		p := &pairs[i]
-		c := p.c
-		c.levels++
-		if c.err != nil {
-			continue
-		}
-		if p.err != nil {
-			c.err = p.err
-			continue
-		}
-		if c.levels == 1 || p.b.Total() < c.b.Total() {
-			c.lvl, c.b = p.lvl, p.b
-		}
-	}
-}
-
-// evalPairsPlatform is evalPairs over the platform grid: one flat
-// (candidate, operating point) pair per leaf work item, reduced in
-// fastest-point-first order exactly like the level sweep.
-func (r *run) evalPairsPlatform(cands []candidate) {
 	pairs := r.a.pairs[:0]
 	for i := range cands {
 		c := &cands[i]
@@ -552,9 +450,12 @@ func (r *run) evalPairsPlatform(cands []candidate) {
 		}
 		p.b, p.err = p.c.prof.EvaluatePoint(r.pf, p.pt, r.cfg.Deadline, energy.Options{PS: true})
 		if p.err == nil {
-			r.obs.levelEvaluated(p.pt.Levels[r.pf.RefClass()], p.b)
+			r.obs.levelEvaluated(r.refLevel(p.pt), p.b)
 		}
 	})
+	// Pairs are enumerated per candidate fastest→slowest, so reducing in
+	// slice order with a strict < reproduces the serial sweep's first-wins
+	// tie-break.
 	for i := range pairs {
 		p := &pairs[i]
 		c := p.c
@@ -567,71 +468,7 @@ func (r *run) evalPairsPlatform(cands []candidate) {
 			continue
 		}
 		if c.levels == 1 || p.b.Total() < c.b.Total() {
-			c.pt, c.lvl, c.b = p.pt, p.pt.Levels[r.pf.RefClass()], p.b
-		}
-	}
-}
-
-// evalPruned walks one candidate's feasible levels fastest→slowest and stops
-// at the first level whose total energy strictly exceeds the running
-// minimum. This relies on the total energy being unimodal in the supply
-// voltage for a fixed schedule — DVS savings shrink monotonically towards
-// the critical level while the idle/leakage cost of the stretch grows — an
-// assumption the default exhaustive sweep does not make.
-func (r *run) evalPruned(c *candidate) {
-	if err := r.ctx.Err(); err != nil {
-		c.err = err
-		return
-	}
-	levels, err := energy.FeasibleLevelsCycles(c.feasCycles(), r.m, r.cfg.Deadline)
-	if err != nil {
-		c.err = err
-		return
-	}
-	for i, lvl := range levels {
-		b, err := c.profileIn(r).Evaluate(r.m, lvl, r.cfg.Deadline, energy.Options{PS: true})
-		c.levels++
-		if err != nil {
-			c.err = err
-			return
-		}
-		r.obs.levelEvaluated(lvl, b)
-		switch {
-		case c.levels == 1 || b.Total() < c.b.Total():
-			c.lvl, c.b = lvl, b
-		case b.Total() > c.b.Total():
-			c.skipped = len(levels) - i - 1
-			return
-		}
-	}
-}
-
-// evalPrunedPlatform is evalPruned over the platform grid, with the same
-// unimodality assumption applied to the grid's σ axis.
-func (r *run) evalPrunedPlatform(c *candidate) {
-	if err := r.ctx.Err(); err != nil {
-		c.err = err
-		return
-	}
-	points, err := energy.FeasiblePointsCycles(c.feasCycles(), r.pf, r.cfg.Deadline)
-	if err != nil {
-		c.err = err
-		return
-	}
-	for i, pt := range points {
-		b, err := c.profileIn(r).EvaluatePoint(r.pf, pt, r.cfg.Deadline, energy.Options{PS: true})
-		c.levels++
-		if err != nil {
-			c.err = err
-			return
-		}
-		r.obs.levelEvaluated(pt.Levels[r.pf.RefClass()], b)
-		switch {
-		case c.levels == 1 || b.Total() < c.b.Total():
-			c.pt, c.lvl, c.b = pt, pt.Levels[r.pf.RefClass()], b
-		case b.Total() > c.b.Total():
-			c.skipped = len(points) - i - 1
-			return
+			c.pt, c.b = p.pt, p.b
 		}
 	}
 }
@@ -644,7 +481,6 @@ func (r *run) stats(cands []candidate) Stats {
 	s := Stats{SchedulesBuilt: r.sc.builtCount()}
 	for i := range cands {
 		s.LevelsEvaluated += cands[i].levels
-		s.LevelsSkipped += cands[i].skipped
 	}
 	return s
 }
@@ -653,21 +489,22 @@ func (r *run) stats(cands []candidate) Stats {
 // strictly lower total energy wins, ties keep the earlier candidate (lower
 // processor count, the N_max fallback last). Any candidate error — the
 // first in candidate order — fails the whole run, as the serial walk did.
-// On the heterogeneous path the result additionally carries the platform
-// and the winning operating point (Level stays the reference-class level
-// for homogeneous-consumer compatibility).
+// Level is the winning point's reference-class level; on a heterogeneous
+// machine the result additionally carries the platform and the winning
+// operating point, while a single-class machine leaves both zero. Under
+// Config.SelfCheck the winner's energy is re-derived before it is returned.
 //
 // The winning schedule is detached with CloneCompact: the memoised original
 // is arena scratch and will be recycled when the run closes, while the
 // Result may outlive the request indefinitely (the serving layer's cache
 // keeps rendered results).
-func reduce(r *run, approach string, g *dag.Graph, cands []candidate) (*Result, error) {
+func reduce(r *run, approach string, g *dag.Graph, cands []candidate, ps bool) (*Result, error) {
 	// Phase 1 sizes the candidate range by the *primary* makespan, so on the
 	// fault-tolerant path the smallest counts can still be
 	// recovery-infeasible (the recovery makespan shrinks as processors are
 	// added). Those candidates are skipped rather than failing the run; any
-	// other error — and, on the legacy path, any error at all — still fails
-	// it, first in candidate order, as the serial walk did.
+	// other error — and, without fault tolerance, any error at all — still
+	// fails it, first in candidate order, as the serial walk did.
 	ft := r.cfg.faultsOn()
 	var firstErr error
 	var best *candidate
@@ -693,14 +530,17 @@ func reduce(r *run, approach string, g *dag.Graph, cands []candidate) (*Result, 
 		Approach: approach,
 		Graph:    g,
 		NumProcs: best.n,
-		Level:    best.lvl,
+		Level:    r.refLevel(best.pt),
 		Schedule: best.s.CloneCompact(),
 		Backups:  best.plan, // owned by this candidate, never pooled
 		Energy:   best.b,
 	}
-	if r.pf != nil {
+	if r.cfg.heterogeneous() {
 		res.Platform = r.pf
 		res.Point = best.pt
+	}
+	if err := r.selfCheckResult(res, best.pt, ps); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -726,7 +566,7 @@ func (e *Engine) ss(ctx context.Context, approach string, g *dag.Graph, ps bool)
 		return nil, err
 	}
 	r.evalAll(cands, ps)
-	best, err := reduce(r, approach, g, cands)
+	best, err := reduce(r, approach, g, cands, ps)
 	if err != nil {
 		return nil, err
 	}
@@ -736,9 +576,6 @@ func (e *Engine) ss(ctx context.Context, approach string, g *dag.Graph, ps bool)
 		best.NumProcs = best.Backups.EmployedWith(cands[0].s)
 	}
 	best.Stats = r.stats(cands)
-	if err := r.selfCheckResult(best, ps); err != nil {
-		return nil, err
-	}
 	return best, nil
 }
 
@@ -789,14 +626,11 @@ func (e *Engine) lamps(ctx context.Context, approach string, g *dag.Graph, ps bo
 		return nil, err
 	}
 	r.evalAll(cands, ps)
-	best, err := reduce(r, approach, g, cands)
+	best, err := reduce(r, approach, g, cands, ps)
 	if err != nil {
 		return nil, err
 	}
 	best.Stats = r.stats(cands)
-	if err := r.selfCheckResult(best, ps); err != nil {
-		return nil, err
-	}
 	return best, nil
 }
 

@@ -128,10 +128,10 @@ func (e *Engine) PerTask(ctx context.Context, g *dag.Graph, ps bool) (*PerTaskRe
 	}
 	slots := make([]slot, len(cands))
 	r.each(len(cands), func(i int) {
-		if r.pf != nil {
+		if r.cfg.heterogeneous() {
 			slots[i].res, slots[i].err = reclaimSchedulePlatform(r.ctx, cands[i].s, r.pf, r.cfg.Deadline, ps, &slots[i].stats)
 		} else {
-			slots[i].res, slots[i].err = reclaimSchedule(r.ctx, cands[i].s, r.m, r.cfg.Deadline, ps, &slots[i].stats)
+			slots[i].res, slots[i].err = reclaimSchedule(r.ctx, cands[i].s, r.pf.ClassModel(0), r.cfg.Deadline, ps, &slots[i].stats)
 		}
 	})
 

@@ -30,7 +30,7 @@ type scheduler struct {
 	prio      []int64
 	obs       *obsHub
 	selfCheck bool            // Config.SelfCheck: verify every freshly built schedule
-	pf        *power.Platform // non-nil on the heterogeneous path: build with ScheduleIntoPlatform
+	pf        *power.Platform // the run's machine
 
 	mu      sync.Mutex
 	byCount []*sched.Schedule // memo indexed by processor count; nil = not built
@@ -106,12 +106,7 @@ func (sc *scheduler) at(n int) (*sched.Schedule, error) {
 	sc.mu.Unlock()
 	k := kernelPool.Get().(*sched.Scheduler)
 	s := sc.getShell()
-	var err error
-	if sc.pf != nil {
-		err = k.ScheduleIntoPlatform(s, sc.g, sc.pf, n, sc.prio, nil)
-	} else {
-		err = k.ScheduleInto(s, sc.g, n, sc.prio, nil)
-	}
+	err := k.ScheduleIntoPlatform(s, sc.g, sc.pf, n, sc.prio, nil)
 	kernelPool.Put(k)
 	if err != nil {
 		sc.putShell(s)
@@ -120,13 +115,7 @@ func (sc *scheduler) at(n int) (*sched.Schedule, error) {
 	if sc.selfCheck {
 		// Config.SelfCheck: every schedule the kernel emits is re-checked
 		// from first principles before any search step may consume it.
-		var verr error
-		if sc.pf != nil {
-			verr = verify.PlatformSchedule(sc.g, sc.pf, s)
-		} else {
-			verr = verify.Schedule(sc.g, s)
-		}
-		if verr != nil {
+		if verr := verify.PlatformSchedule(sc.g, sc.pf, s); verr != nil {
 			sc.putShell(s)
 			return nil, fmt.Errorf("core: self-check: schedule on %d processors: %w", n, verr)
 		}
@@ -214,12 +203,18 @@ func (sc *scheduler) minProcsForDeadline(deadlineCycles float64, hi int) (int, e
 
 // saturationPoint locates the end of phase 2's candidate range: the smallest
 // n in [lo, hi] whose makespan has reached the critical path length — its
-// absolute minimum, beyond which adding processors cannot change the
-// schedule — or hi if no count gets there. It binary-searches under the same
-// makespan monotonicity assumption as phase 1, which is what lets the
-// parallel engine fix the whole candidate set up front instead of walking it
-// one count at a time; the set it produces is exactly the one the serial
-// linear scan visits.
+// absolute minimum — or hi if no count gets there. It binary-searches,
+// which is what lets the parallel engine fix the whole candidate set up
+// front instead of walking it one count at a time.
+//
+// The binary search assumes the LS-EDF makespan is monotone
+// (non-increasing) in the processor count, the same assumption phase 1
+// makes. Only under that assumption is the result the first count a linear
+// scan — the paper's phase 2 — would stop at. List scheduling is not
+// monotone in general (Graham's anomalies): adding a processor can lengthen
+// the schedule, and on such graphs the binary search may return a
+// different count and so a different candidate set. EXPERIMENTS.md records
+// this as a known deviation from the paper.
 func (sc *scheduler) saturationPoint(lo, hi int) (int, error) {
 	cpl := sc.g.CriticalPathLength()
 	mk, err := sc.makespan(hi)

@@ -74,14 +74,17 @@ func TestSelfCheckCatchesTamperedResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.selfCheckResult(res, true); err != nil {
+	// On the single-class machine the grid is the model ladder, so the
+	// winning point sits at the winning level's index.
+	pt := r.pf.Points()[res.Level.Index]
+	if err := r.selfCheckResult(res, pt, true); err != nil {
 		t.Fatalf("pristine result rejected: %v", err)
 	}
 	tampered := *res
 	m := power.Default70nm()
 	tampered.Energy.IdleTime += 1 / res.Level.Freq
 	tampered.Energy.Idle = tampered.Energy.IdleTime * m.IdlePower(res.Level)
-	verr := r.selfCheckResult(&tampered, true)
+	verr := r.selfCheckResult(&tampered, pt, true)
 	if !errors.Is(verr, verify.ErrViolation) {
 		t.Fatalf("tampered breakdown not flagged as a violation: %v", verr)
 	}

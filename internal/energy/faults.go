@@ -1,7 +1,6 @@
 package energy
 
 import (
-	"slices"
 	"sort"
 
 	"lamps/internal/power"
@@ -18,120 +17,16 @@ import (
 // the moment a fault is detected). The profile's makespan is the recovery
 // makespan, so the existing deadline check covers recovery feasibility.
 
-// ResetFT re-extracts the profile from s with plan's backup slots reserved.
-// The profile must be evaluated with Evaluate (homogeneous machine).
-func (p *GapProfile) ResetFT(s *sched.Schedule, plan *sched.BackupPlan) {
-	p.busyCycles = s.BusyCycles()
-	p.makespan = s.Makespan
-	if plan.RecoveryMakespan > p.makespan {
-		p.makespan = plan.RecoveryMakespan
-	}
-	p.reserved = 0
-	p.inner = p.inner[:0]
-	p.last = p.last[:0]
-	order := p.backupOrder(plan)
-	i := 0
-	for proc := 0; proc < s.NumProcs; proc++ {
-		tasks := s.TasksOn(proc)
-		j := i
-		for i < len(order) && int(plan.Proc[order[i]]) == proc {
-			i++
-		}
-		backs := order[j:i]
-		if len(tasks) == 0 && len(backs) == 0 {
-			continue // truly unemployed processors are off and contribute nothing
-		}
-		var cursor int64
-		ti, bi := 0, 0
-		for ti < len(tasks) || bi < len(backs) {
-			var start, finish int64
-			if bi == len(backs) || (ti < len(tasks) && s.Start[tasks[ti]] <= plan.Start[backs[bi]]) {
-				v := tasks[ti]
-				start, finish = s.Start[v], s.Finish[v]
-				ti++
-			} else {
-				v := backs[bi]
-				start, finish = plan.Start[v], plan.Finish[v]
-				p.reserved += finish - start
-				bi++
-			}
-			if start > cursor {
-				p.inner = append(p.inner, start-cursor)
-			}
-			cursor = finish
-		}
-		p.last = append(p.last, cursor)
-	}
-	slices.Sort(p.inner)
-	slices.Sort(p.last)
-	p.innerSum = prefixSums(p.innerSum, p.inner)
-	p.lastSum = prefixSums(p.lastSum, p.last)
-}
+// ResetFT re-extracts the profile of a schedule on identical processors
+// with plan's backup slots reserved. Evaluate it with Evaluate.
+func (p *GapProfile) ResetFT(s *sched.Schedule, plan *sched.BackupPlan) { p.reset(s, nil, plan) }
 
-// ResetPlatformFT is ResetFT for a heterogeneous platform schedule: the
-// merged timelines are bucketed by core class, busy totals count primary
-// slots only, and each class accumulates its own reserved cycles. The
-// profile must be evaluated with EvaluatePoint.
+// ResetPlatformFT is ResetFT for a platform schedule: the merged timelines
+// are bucketed by core class, busy totals count primary slots only, and
+// each class accumulates its own reserved cycles. Evaluate it with
+// EvaluatePoint.
 func (p *GapProfile) ResetPlatformFT(s *sched.Schedule, pf *power.Platform, plan *sched.BackupPlan) {
-	p.makespan = s.Makespan
-	if plan.RecoveryMakespan > p.makespan {
-		p.makespan = plan.RecoveryMakespan
-	}
-	nc := pf.NumClasses()
-	if cap(p.classes) < nc {
-		p.classes = make([]classGaps, nc)
-	}
-	p.classes = p.classes[:nc]
-	for c := range p.classes {
-		cg := &p.classes[c]
-		cg.busySlot, cg.busyWork, cg.reserved = 0, 0, 0
-		cg.inner = cg.inner[:0]
-		cg.last = cg.last[:0]
-	}
-	g := s.Graph
-	order := p.backupOrder(plan)
-	i := 0
-	for proc := 0; proc < s.NumProcs; proc++ {
-		tasks := s.TasksOn(proc)
-		j := i
-		for i < len(order) && int(plan.Proc[order[i]]) == proc {
-			i++
-		}
-		backs := order[j:i]
-		if len(tasks) == 0 && len(backs) == 0 {
-			continue
-		}
-		cg := &p.classes[pf.ClassOf(proc)]
-		var cursor int64
-		ti, bi := 0, 0
-		for ti < len(tasks) || bi < len(backs) {
-			var start, finish int64
-			if bi == len(backs) || (ti < len(tasks) && s.Start[tasks[ti]] <= plan.Start[backs[bi]]) {
-				v := tasks[ti]
-				start, finish = s.Start[v], s.Finish[v]
-				cg.busySlot += finish - start
-				cg.busyWork += g.Weight(int(v))
-				ti++
-			} else {
-				v := backs[bi]
-				start, finish = plan.Start[v], plan.Finish[v]
-				cg.reserved += finish - start
-				bi++
-			}
-			if start > cursor {
-				cg.inner = append(cg.inner, start-cursor)
-			}
-			cursor = finish
-		}
-		cg.last = append(cg.last, cursor)
-	}
-	for c := range p.classes {
-		cg := &p.classes[c]
-		slices.Sort(cg.inner)
-		slices.Sort(cg.last)
-		cg.innerSum = prefixSums(cg.innerSum, cg.inner)
-		cg.lastSum = prefixSums(cg.lastSum, cg.last)
-	}
+	p.reset(s, pf, plan)
 }
 
 // backupOrder returns the task indices sorted by (backup processor, backup

@@ -5,27 +5,33 @@ import (
 	"math"
 
 	"lamps/internal/dag"
+	"lamps/internal/power"
 )
 
 // Scheduler is a reusable scratch space for list scheduling. The zero value
 // is ready to use; after the first call every buffer is retained, so
-// steady-state ScheduleInto performs no allocations at all (asserted by
-// TestScheduleIntoSteadyStateZeroAlloc and enforced in CI). A Scheduler is
-// not safe for concurrent use; pool instances across goroutines (the core
-// engine keeps them in a sync.Pool).
+// steady-state ScheduleInto and ScheduleIntoPlatform perform no allocations
+// at all (asserted by TestScheduleIntoSteadyStateZeroAlloc and enforced in
+// CI). A Scheduler is not safe for concurrent use; pool instances across
+// goroutines (the core engine keeps them in a sync.Pool).
 type Scheduler struct {
 	indeg   []int32
 	ready   []readyItem   // min-heap: ready tasks by (priority, task)
 	pending []finishEvent // min-heap: released-in-the-future tasks by (release, task)
 	running []finishEvent // min-heap: running tasks by (finish, task)
-	idle    []procID      // min-heap: idle processor indices
+	idle    []procID      // min-heap: idle processors of class 0
+	more    [][]procID    // min-heaps: idle processors of classes 1.. of a platform
 	order   []int32       // tasks in dispatch order, for the byProc counting sort
 	cursor  []int32       // per-processor write cursor of the counting sort
+}
 
-	// idleByClass holds one idle-processor min-heap per platform core class
-	// for ScheduleIntoPlatform; unused by the homogeneous ScheduleInto. The
-	// outer slice and every inner heap are retained across calls.
-	idleByClass [][]procID
+// idleOf returns the idle-processor heap of class c. Class 0 has a field of
+// its own, so scratch for the one-class machine needs no slice of heaps.
+func (k *Scheduler) idleOf(c int) *[]procID {
+	if c == 0 {
+		return &k.idle
+	}
+	return &k.more[c-1]
 }
 
 // procID is a processor index with the heap ordering "lowest index first",
@@ -70,19 +76,68 @@ func grow[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// ScheduleInto runs event-driven, work-conserving list scheduling exactly
-// like ListScheduleReleases, but writes the result into dst and draws every
-// temporary from the Scheduler's reusable scratch. dst's slices are reused
-// when large enough, so a caller that keeps both the Scheduler and the
-// Schedule alive across calls schedules with zero allocations per call.
+// ErrBadPlatform is returned when the platform is nil or the requested
+// processor count exceeds the platform's size.
+var ErrBadPlatform = fmt.Errorf("sched: invalid platform or processor count")
+
+var errNilPlatform = fmt.Errorf("%w: nil platform", ErrBadPlatform)
+
+// ScheduleInto runs event-driven, work-conserving list scheduling on nprocs
+// identical processors exactly like ListScheduleReleases, but writes the
+// result into dst and draws every temporary from the Scheduler's reusable
+// scratch. dst's slices are reused when large enough, so a caller that keeps
+// both the Scheduler and the Schedule alive across calls schedules with zero
+// allocations per call.
 //
 // dst must not be nil; its previous contents are fully overwritten. The
 // produced schedule — placement, times, makespan and per-processor task
 // lists — is byte-identical to the one ListScheduleReleases returns for the
 // same inputs.
 func (k *Scheduler) ScheduleInto(dst *Schedule, g *dag.Graph, nprocs int, prio, release []int64) error {
+	return k.schedule(dst, g, nil, nprocs, prio, release)
+}
+
+// ScheduleIntoPlatform is ScheduleInto on a platform: the first nprocs
+// processors of pf are used, times are expressed in cycles of the
+// platform's reference class, and a task of w cycles dispatched onto a
+// processor of class c occupies pf.ScaledWeight(c, w) timeline cycles. Task
+// selection is unchanged — the minimum-priority ready task dispatches first
+// — but processor selection becomes class-aware: among the classes with an
+// idle processor, the chosen task goes to the one on which it *finishes
+// earliest* (ties: the lowest idle processor index across classes), so fast
+// cores attract work without starving the index order determinism.
+//
+// On a single-class platform every scale is 1 and the earliest-finish rule
+// degenerates to "lowest idle processor index", so the produced schedule is
+// byte-identical to ScheduleInto with the same arguments (pinned by
+// TestScheduleIntoPlatformHomogeneousParity).
+func (k *Scheduler) ScheduleIntoPlatform(dst *Schedule, g *dag.Graph, pf *power.Platform, nprocs int, prio, release []int64) error {
+	if pf == nil {
+		return errNilPlatform
+	}
+	return k.schedule(dst, g, pf, nprocs, prio, release)
+}
+
+// classOf is pf.ClassOf(p), with a nil platform standing for one class of
+// identical processors.
+func classOf(pf *power.Platform, p int) int {
+	if pf == nil {
+		return 0
+	}
+	return pf.ClassOf(p)
+}
+
+// checkArgs validates the arguments of schedule. It is a function of its own
+// so the error formatting stays out of the event loop's stack frame: the
+// engine schedules on freshly started goroutines, where a larger frame
+// costs a stack copy per call.
+func checkArgs(g *dag.Graph, pf *power.Platform, nprocs int, prio, release []int64) error {
 	if nprocs <= 0 {
 		return ErrNoProcs
+	}
+	if pf != nil && nprocs > pf.NumProcs() {
+		return fmt.Errorf("%w: %d processors requested of a %d-processor platform",
+			ErrBadPlatform, nprocs, pf.NumProcs())
 	}
 	n := g.NumTasks()
 	if len(prio) != n {
@@ -91,6 +146,18 @@ func (k *Scheduler) ScheduleInto(dst *Schedule, g *dag.Graph, nprocs int, prio, 
 	if release != nil && len(release) != n {
 		return fmt.Errorf("%w: got %d releases for %d tasks", ErrBadReleases, len(release), n)
 	}
+	return nil
+}
+
+// schedule is the one list-scheduling event loop behind ScheduleInto and
+// ScheduleIntoPlatform. A nil pf is the identical-processor machine: one
+// class at scale 1, so every dispatch takes the lowest idle processor and
+// occupies exactly the task's weight.
+func (k *Scheduler) schedule(dst *Schedule, g *dag.Graph, pf *power.Platform, nprocs int, prio, release []int64) error {
+	if err := checkArgs(g, pf, nprocs, prio, release); err != nil {
+		return err
+	}
+	n := g.NumTasks()
 	dst.Graph = g
 	dst.NumProcs = nprocs
 	dst.Makespan = 0
@@ -116,10 +183,26 @@ func (k *Scheduler) ScheduleInto(dst *Schedule, g *dag.Graph, nprocs int, prio, 
 	heapInit(k.ready)
 	heapInit(k.pending)
 
-	k.idle = grow(k.idle, nprocs)
-	for p := range k.idle {
-		k.idle[p] = procID(p)
+	// Per-class idle heaps: every heap keeps its backing array across
+	// calls. Appending in increasing index order leaves each heap sorted,
+	// which is already a valid min-heap.
+	nc := 1
+	if pf != nil {
+		nc = pf.NumClasses()
 	}
+	if cap(k.more) < nc-1 {
+		k.more = make([][]procID, nc-1)
+	}
+	k.more = k.more[:nc-1]
+	for c := 0; c < nc; c++ {
+		h := k.idleOf(c)
+		*h = grow(*h, nprocs)[:0]
+	}
+	for p := 0; p < nprocs; p++ {
+		h := k.idleOf(classOf(pf, p))
+		*h = append(*h, procID(p))
+	}
+	idleCount := nprocs
 
 	var t int64
 	for {
@@ -129,11 +212,13 @@ func (k *Scheduler) ScheduleInto(dst *Schedule, g *dag.Graph, nprocs int, prio, 
 			heapPush(&k.ready, readyItem{ev.task, prio[ev.task]})
 		}
 		// Dispatch every ready task for which an idle processor exists.
-		for len(k.ready) > 0 && len(k.idle) > 0 {
+		for len(k.ready) > 0 && idleCount > 0 {
 			it := heapPop(&k.ready)
-			p := heapPop(&k.idle)
 			v := int(it.task)
-			finish := t + g.Weight(v)
+			c, d := k.earliestFinishClass(pf, g.Weight(v))
+			p := heapPop(k.idleOf(c))
+			idleCount--
+			finish := t + d
 			dst.Proc[v] = int32(p)
 			dst.Start[v] = t
 			dst.Finish[v] = finish
@@ -157,7 +242,9 @@ func (k *Scheduler) ScheduleInto(dst *Schedule, g *dag.Graph, nprocs int, prio, 
 		t = next
 		for len(k.running) > 0 && k.running[0].finish == t {
 			ev := heapPop(&k.running)
-			heapPush(&k.idle, procID(dst.Proc[ev.task]))
+			p := int(dst.Proc[ev.task])
+			heapPush(k.idleOf(classOf(pf, p)), procID(p))
+			idleCount++
 			for _, succ := range g.Succs(int(ev.task)) {
 				k.indeg[succ]--
 				if k.indeg[succ] == 0 {
@@ -172,6 +259,31 @@ func (k *Scheduler) ScheduleInto(dst *Schedule, g *dag.Graph, nprocs int, prio, 
 	}
 	k.buildByProc(dst)
 	return nil
+}
+
+// earliestFinishClass picks the class a w-cycle task dispatches onto and
+// its slot length: among the classes with an idle processor, the one whose
+// scaled duration finishes first, ties to the lowest candidate processor
+// index. On the identical-processor machine (nil pf) that is class 0 and
+// the task's own weight.
+func (k *Scheduler) earliestFinishClass(pf *power.Platform, w int64) (int, int64) {
+	if pf == nil {
+		return 0, w
+	}
+	best := -1
+	var bestDur int64
+	var bestProc procID
+	for c := 0; c < pf.NumClasses(); c++ {
+		h := *k.idleOf(c)
+		if len(h) == 0 {
+			continue
+		}
+		d := pf.ScaledWeight(c, w)
+		if best < 0 || d < bestDur || (d == bestDur && h[0] < bestProc) {
+			best, bestDur, bestProc = c, d, h[0]
+		}
+	}
+	return best, bestDur
 }
 
 // buildByProc fills dst's flat per-processor task lists by a stable counting

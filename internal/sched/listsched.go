@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"lamps/internal/dag"
+	"lamps/internal/power"
 )
 
 // NoDeadline marks a task without an explicit deadline in per-task deadline
@@ -144,6 +145,17 @@ func ListScheduleReleases(g *dag.Graph, nprocs int, prio, release []int64) (*Sch
 	var k Scheduler
 	s := new(Schedule)
 	if err := k.ScheduleInto(s, g, nprocs, prio, release); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// ListSchedulePlatform is the convenience form of ScheduleIntoPlatform with
+// fresh scratch and a fresh Schedule, mirroring ListScheduleReleases.
+func ListSchedulePlatform(g *dag.Graph, pf *power.Platform, nprocs int, prio, release []int64) (*Schedule, error) {
+	var k Scheduler
+	s := new(Schedule)
+	if err := k.ScheduleIntoPlatform(s, g, pf, nprocs, prio, release); err != nil {
 		return nil, err
 	}
 	return s, nil

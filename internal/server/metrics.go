@@ -382,9 +382,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP lampsd_levels_evaluated_total Energy evaluations of (schedule, level) pairs across all completed runs (core.Stats).\n")
 	fmt.Fprintf(w, "# TYPE lampsd_levels_evaluated_total counter\n")
 	fmt.Fprintf(w, "lampsd_levels_evaluated_total %d\n", m.effort.LevelsEvaluated)
-	fmt.Fprintf(w, "# HELP lampsd_levels_skipped_total Sweep levels pruned by unimodal pruning across all completed runs (core.Stats).\n")
-	fmt.Fprintf(w, "# TYPE lampsd_levels_skipped_total counter\n")
-	fmt.Fprintf(w, "lampsd_levels_skipped_total %d\n", m.effort.LevelsSkipped)
 
 	fmt.Fprintf(w, "# HELP lampsd_schedules_built Per-run list-scheduling invocations, cancelled runs included (Observer feed).\n")
 	fmt.Fprintf(w, "# TYPE lampsd_schedules_built histogram\n")
