@@ -105,14 +105,15 @@ alloc-gate:
 # The heterogeneous-platform gate. The golden corpus — committed /v1/schedule
 # bodies and digests, plus the per-task DVS and voltage-island extensions —
 # pins the result bytes on the homogeneous and the LP×3 + HP×1 machine. The
-# parity half is the behaviour-preservation contract: an N-identical-core Platform must produce
-# results byte-identical to the legacy single-model configuration at every
-# layer — kernel placements, energy breakdowns bit for bit, engine results
-# and stats. The invariant half holds the genuinely heterogeneous path to
-# the independent verifier (scaled-slot legality, first-principles energy,
-# LIMIT bounds, the HP-core feasibility separation) and to the platform
-# digest/serving contract. Under -race: the engine evaluates platform
-# candidates from many goroutines.
+# parity half is the behaviour-preservation contract: an N-identical-core
+# Platform must produce results byte-identical to the single-class platform
+# a Model config runs on, at every layer — kernel placements, energy
+# breakdowns bit for bit, engine results and stats. The invariant half
+# holds the genuinely heterogeneous path to the independent verifier
+# (scaled-slot legality, first-principles energy, LIMIT bounds, the HP-core
+# feasibility separation) and to the platform digest/serving contract.
+# Under -race: the engine evaluates platform candidates from many
+# goroutines.
 hetero-gate:
 	$(GO) test -race -run 'TestGolden' -count=1 -v ./internal/core ./internal/server
 	$(GO) test -race -run 'TestScheduleIntoPlatformHomogeneousParity|TestMinFeasiblePointHomogeneousParity' -count=1 -v ./internal/sched ./internal/energy

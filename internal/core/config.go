@@ -157,10 +157,25 @@ func (c *Config) model() *power.Model {
 	return defaultModel
 }
 
+// platform returns the machine a run on g schedules on: the config's
+// platform, or — for a Model config — the memoised single-class platform of
+// that model, so the paper's identical-processor machine is the one-class
+// case of the one platform path.
+func (c *Config) platform(g *dag.Graph) (*power.Platform, error) {
+	if c.Platform != nil {
+		return c.Platform, nil
+	}
+	pf, err := singleClass(c.model(), c.maxUsefulProcs(g))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
+	}
+	return pf, nil
+}
+
 // heterogeneous reports whether the config describes a machine of more than
 // one core class. It decides what a result reports (a single-class machine
 // keeps Result.Platform nil and Point zero), the width cap of
-// maxUsefulProcs, and which variant the extensions and LIMIT bounds run.
+// maxUsefulProcs, and which variant the LIMIT bounds run.
 func (c *Config) heterogeneous() bool {
 	return c.Platform != nil && !c.Platform.IsHomogeneous()
 }

@@ -207,22 +207,18 @@ func (e *Engine) newRun(ctx context.Context, g *dag.Graph) (*run, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	pf, err := e.Config.platform(g)
+	if err != nil {
+		return nil, err
+	}
 	a := arenaPool.Get().(*arena)
 	r := &a.r
 	r.ctx = ctx
 	r.cfg = e.Config
 	r.pool = e.Pool
 	r.a = a
-	r.pf = e.Config.Platform
-	if r.pf == nil {
-		pf, err := singleClass(e.Config.model(), e.Config.maxUsefulProcs(g))
-		if err != nil {
-			a.close()
-			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-		}
-		r.pf = pf
-	}
-	r.fref = r.pf.RefFMax()
+	r.pf = pf
+	r.fref = pf.RefFMax()
 	r.obs.o = e.Observer
 	a.sc.init(ctx, g, e.runPriorities(a, g), &r.obs, e.Config.SelfCheck, r.pf)
 	r.sc = &a.sc
@@ -487,31 +483,32 @@ func (r *run) stats(cands []candidate) Stats {
 
 // reduce picks the winning candidate in the paper's deterministic order:
 // strictly lower total energy wins, ties keep the earlier candidate (lower
-// processor count, the N_max fallback last). Any candidate error — the
-// first in candidate order — fails the whole run, as the serial walk did.
-// Level is the winning point's reference-class level; on a heterogeneous
-// machine the result additionally carries the platform and the winning
-// operating point, while a single-class machine leaves both zero. Under
-// Config.SelfCheck the winner's energy is re-derived before it is returned.
+// processor count, the N_max fallback last). Level is the winning point's
+// reference-class level; on a heterogeneous machine the result additionally
+// carries the platform and the winning operating point, while a
+// single-class machine leaves both zero. Under Config.SelfCheck the winner's
+// energy is re-derived before it is returned.
+//
+// A candidate whose schedule misses the deadline is skipped, as the paper's
+// scan would skip an infeasible count; the run fails only when no candidate
+// is feasible. Such candidates exist even though phase 1 checked both ends
+// of the range: LS-EDF makespan is not monotone in the processor count
+// (Graham's anomalies), and on the fault-tolerant path phase 1 sizes the
+// range by the primary makespan, so the smallest counts can still be
+// recovery-infeasible. Any other error fails the run, first in candidate
+// order, as the serial walk did.
 //
 // The winning schedule is detached with CloneCompact: the memoised original
 // is arena scratch and will be recycled when the run closes, while the
 // Result may outlive the request indefinitely (the serving layer's cache
 // keeps rendered results).
 func reduce(r *run, approach string, g *dag.Graph, cands []candidate, ps bool) (*Result, error) {
-	// Phase 1 sizes the candidate range by the *primary* makespan, so on the
-	// fault-tolerant path the smallest counts can still be
-	// recovery-infeasible (the recovery makespan shrinks as processors are
-	// added). Those candidates are skipped rather than failing the run; any
-	// other error — and, without fault tolerance, any error at all — still
-	// fails it, first in candidate order, as the serial walk did.
-	ft := r.cfg.faultsOn()
 	var firstErr error
 	var best *candidate
 	for i := range cands {
 		c := &cands[i]
 		if c.err != nil {
-			if ft && errors.Is(c.err, energy.ErrDeadline) {
+			if errors.Is(c.err, energy.ErrDeadline) {
 				if firstErr == nil {
 					firstErr = c.err
 				}
@@ -591,10 +588,29 @@ func (e *Engine) lamps(ctx context.Context, approach string, g *dag.Graph, ps bo
 		return nil, err
 	}
 	defer r.a.runGuard()
+	cands, err := r.candidates(g)
+	if err != nil {
+		return nil, err
+	}
+	defer releaseProfiles(cands)
+	r.evalAll(cands, ps)
+	best, err := reduce(r, approach, g, cands, ps)
+	if err != nil {
+		return nil, err
+	}
+	best.Stats = r.stats(cands)
+	return best, nil
+}
+
+// candidates runs the LAMPS search for the candidate processor counts and
+// list-schedules each of them into arena scratch: phase 1 binary-searches
+// the minimal count meeting the deadline, phase 2 takes every count from
+// there up to the saturation point, and N_max is added when the range stops
+// short of it.
+func (r *run) candidates(g *dag.Graph) ([]candidate, error) {
 	r.obs.phase(PhaseMinProcs)
-	deadlineCycles := r.cfg.Deadline * r.fref
 	hi := r.cfg.maxUsefulProcs(g)
-	nmin, err := r.sc.minProcsForDeadline(deadlineCycles, hi)
+	nmin, err := r.sc.minProcsForDeadline(r.cfg.Deadline*r.fref, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -621,17 +637,7 @@ func (e *Engine) lamps(ctx context.Context, approach string, g *dag.Graph, ps bo
 		cands = append(cands, candidate{n: hi})
 	}
 	r.a.cands = cands
-	defer releaseProfiles(cands)
-	if err := r.buildAll(cands); err != nil {
-		return nil, err
-	}
-	r.evalAll(cands, ps)
-	best, err := reduce(r, approach, g, cands, ps)
-	if err != nil {
-		return nil, err
-	}
-	best.Stats = r.stats(cands)
-	return best, nil
+	return cands, r.buildAll(cands)
 }
 
 // limit wraps the closed-form LIMIT-SF/MF bounds with the engine's context

@@ -73,7 +73,10 @@ func VoltageIslandsCtx(ctx context.Context, g *dag.Graph, cfg Config, ps bool) (
 // Islands runs the voltage-island extension on the engine: the LAMPS(+PS)
 // base search benefits from the engine's pool, then the greedy per-island
 // descent runs serially (each step depends on the previous acceptance) with
-// a context check per candidate evaluation.
+// a context check per candidate evaluation. Each island starts at its
+// class's level of the base operating point and descends its own class's
+// ladder, never below that class's critical level (with ps) or ladder
+// floor.
 func (e *Engine) Islands(ctx context.Context, g *dag.Graph, ps bool) (*IslandsResult, error) {
 	if e.Config.faultsOn() {
 		// The greedy descent re-times tasks per island, which would strand
@@ -87,61 +90,10 @@ func (e *Engine) Islands(ctx context.Context, g *dag.Graph, ps bool) (*IslandsRe
 	}
 	hub := obsHub{o: e.Observer}
 	hub.phase(PhaseRefine)
-	cfg := e.Config
-	if cfg.heterogeneous() {
-		return e.islandsPlatform(ctx, g, ps, base)
+	pf, err := e.Config.platform(g)
+	if err != nil {
+		return nil, err
 	}
-	m := cfg.model()
-	s := base.Schedule
-	stats := base.Stats
-
-	levels := make([]power.Level, s.NumProcs)
-	for p := range levels {
-		levels[p] = base.Level
-	}
-	minIdx := len(m.Levels()) - 1
-	if ps {
-		minIdx = m.CriticalLevel().Index
-	}
-	if base.Level.Index > minIdx {
-		minIdx = base.Level.Index // never raise an island above its start
-	}
-
-	best := islandEval(s, m, levels, cfg.Deadline, ps, &stats)
-	if best == nil {
-		return nil, fmt.Errorf("%w: base configuration infeasible", ErrInfeasible)
-	}
-	for improved := true; improved; {
-		improved = false
-		for p := 0; p < s.NumProcs; p++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if len(s.TasksOn(p)) == 0 || levels[p].Index >= minIdx {
-				continue
-			}
-			levels[p] = m.Level(levels[p].Index + 1)
-			cand := islandEval(s, m, levels, cfg.Deadline, ps, &stats)
-			if cand != nil && cand.Energy.Total() < best.Energy.Total() {
-				best = cand
-				improved = true
-			} else {
-				levels[p] = m.Level(levels[p].Index - 1) // revert
-			}
-		}
-	}
-	best.Graph = g
-	best.NumProcs = base.NumProcs
-	best.Stats = stats
-	return best, nil
-}
-
-// islandsPlatform is the heterogeneous greedy descent: each island starts at
-// its class's level of the base operating point and descends its *own
-// class's* ladder, never below that class's critical level (with ps) or
-// ladder floor.
-func (e *Engine) islandsPlatform(ctx context.Context, g *dag.Graph, ps bool, base *Result) (*IslandsResult, error) {
-	pf := e.Config.Platform
 	deadline := e.Config.Deadline
 	s := base.Schedule
 	stats := base.Stats
@@ -150,7 +102,11 @@ func (e *Engine) islandsPlatform(ctx context.Context, g *dag.Graph, ps bool, bas
 	minIdx := make([]int, s.NumProcs)
 	for p := range levels {
 		m := pf.ModelOf(p)
-		levels[p] = base.Point.Levels[pf.ClassOf(p)]
+		if pf.IsHomogeneous() {
+			levels[p] = base.Level // a single-class result keeps Point zero
+		} else {
+			levels[p] = base.Point.Levels[pf.ClassOf(p)]
+		}
 		mi := len(m.Levels()) - 1
 		if ps {
 			mi = m.CriticalLevel().Index
@@ -161,7 +117,7 @@ func (e *Engine) islandsPlatform(ctx context.Context, g *dag.Graph, ps bool, bas
 		minIdx[p] = mi
 	}
 
-	best := islandEvalPlatform(s, pf, levels, deadline, ps, &stats)
+	best := islandEval(s, pf, levels, deadline, ps, &stats)
 	if best == nil {
 		return nil, fmt.Errorf("%w: base configuration infeasible", ErrInfeasible)
 	}
@@ -176,7 +132,7 @@ func (e *Engine) islandsPlatform(ctx context.Context, g *dag.Graph, ps bool, bas
 			}
 			m := pf.ModelOf(p)
 			levels[p] = m.Level(levels[p].Index + 1)
-			cand := islandEvalPlatform(s, pf, levels, deadline, ps, &stats)
+			cand := islandEval(s, pf, levels, deadline, ps, &stats)
 			if cand != nil && cand.Energy.Total() < best.Energy.Total() {
 				best = cand
 				improved = true
@@ -191,86 +147,11 @@ func (e *Engine) islandsPlatform(ctx context.Context, g *dag.Graph, ps bool, bas
 	return best, nil
 }
 
-// islandEvalPlatform is islandEval with per-processor models: durations,
-// active powers, idle powers and break-even times all come from each
-// processor's own class.
-func islandEvalPlatform(s *sched.Schedule, pf *power.Platform, levels []power.Level, deadline float64, ps bool, stats *Stats) *IslandsResult {
-	stats.LevelsEvaluated++
-	g := s.Graph
-	n := g.NumTasks()
-	r := &IslandsResult{
-		Schedule:   s,
-		ProcLevels: append([]power.Level(nil), levels...),
-		StartSec:   make([]float64, n),
-		FinishSec:  make([]float64, n),
-	}
-	order := make([]int32, n)
-	for v := range order {
-		order[v] = int32(v)
-	}
-	sort.Slice(order, func(i, j int) bool { return s.Start[order[i]] < s.Start[order[j]] })
-	procFree := make([]float64, s.NumProcs)
-	var bd energy.Breakdown
-	for _, v32 := range order {
-		v := int(v32)
-		p := s.Proc[v]
-		m := pf.ModelOf(int(p))
-		lvl := levels[p]
-		st := procFree[p]
-		for _, pred := range g.Preds(v) {
-			if r.FinishSec[pred] > st {
-				st = r.FinishSec[pred]
-			}
-		}
-		dur := float64(g.Weight(v)) / lvl.Freq
-		fin := st + dur
-		if fin > deadline*(1+1e-12) {
-			return nil
-		}
-		r.StartSec[v] = st
-		r.FinishSec[v] = fin
-		procFree[p] = fin
-		bd.Active += dur * m.LevelPower(lvl)
-		bd.ActiveTime += dur
-	}
-	for p := 0; p < s.NumProcs; p++ {
-		tasks := s.TasksOn(p)
-		if len(tasks) == 0 {
-			continue
-		}
-		m := pf.ModelOf(p)
-		lvl := levels[p]
-		pIdle := m.IdlePower(lvl)
-		breakeven := m.BreakevenTime(lvl)
-		charge := func(t float64) {
-			if t <= 0 {
-				return
-			}
-			if ps && t > breakeven {
-				bd.Sleep += t * m.PSleep
-				bd.SleepTime += t
-				bd.Overhead += m.EOverhead
-				bd.Shutdowns++
-			} else {
-				bd.Idle += t * pIdle
-				bd.IdleTime += t
-			}
-		}
-		cursor := 0.0
-		for _, v := range tasks {
-			charge(r.StartSec[v] - cursor)
-			cursor = r.FinishSec[v]
-		}
-		charge(deadline - cursor)
-	}
-	r.Energy = bd
-	return r
-}
-
 // islandEval recomputes the schedule timing for per-processor levels (fixed
 // assignment and per-processor order) and integrates the energy; nil when
-// the deadline is missed.
-func islandEval(s *sched.Schedule, m *power.Model, levels []power.Level, deadline float64, ps bool, stats *Stats) *IslandsResult {
+// the deadline is missed. Durations, active powers, idle powers and
+// break-even times all come from each processor's own class.
+func islandEval(s *sched.Schedule, pf *power.Platform, levels []power.Level, deadline float64, ps bool, stats *Stats) *IslandsResult {
 	stats.LevelsEvaluated++
 	g := s.Graph
 	n := g.NumTasks()
@@ -307,39 +188,11 @@ func islandEval(s *sched.Schedule, m *power.Model, levels []power.Level, deadlin
 		r.StartSec[v] = st
 		r.FinishSec[v] = fin
 		procFree[p] = fin
-		bd.Active += dur * m.LevelPower(lvl)
+		bd.Active += dur * pf.ModelOf(int(p)).LevelPower(lvl)
 		bd.ActiveTime += dur
 	}
 	// Gaps per processor at that processor's level.
-	for p := 0; p < s.NumProcs; p++ {
-		tasks := s.TasksOn(p)
-		if len(tasks) == 0 {
-			continue
-		}
-		lvl := levels[p]
-		pIdle := m.IdlePower(lvl)
-		breakeven := m.BreakevenTime(lvl)
-		charge := func(t float64) {
-			if t <= 0 {
-				return
-			}
-			if ps && t > breakeven {
-				bd.Sleep += t * m.PSleep
-				bd.SleepTime += t
-				bd.Overhead += m.EOverhead
-				bd.Shutdowns++
-			} else {
-				bd.Idle += t * pIdle
-				bd.IdleTime += t
-			}
-		}
-		cursor := 0.0
-		for _, v := range tasks {
-			charge(r.StartSec[v] - cursor)
-			cursor = r.FinishSec[v]
-		}
-		charge(deadline - cursor)
-	}
+	chargeGaps(&bd, s, pf, levels, r.StartSec, r.FinishSec, deadline, ps)
 	r.Energy = bd
 	return r
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -83,7 +84,8 @@ func SlackReclaimDVSCtx(ctx context.Context, g *dag.Graph, cfg Config, ps bool) 
 // PerTask runs the SlackReclaimDVS extension on the engine: the same
 // phase-1/phase-2 candidate search as LAMPS, with each candidate schedule
 // reclaimed per task (in parallel across candidates when a pool is set) and
-// the cheapest kept, ties to the lower processor count.
+// the cheapest kept, ties to the lower processor count. A candidate that
+// misses the deadline is skipped, as in reduce.
 func (e *Engine) PerTask(ctx context.Context, g *dag.Graph, ps bool) (*PerTaskResult, error) {
 	if e.Config.faultsOn() {
 		// Per-task stretching moves every slot boundary, which would strand
@@ -96,27 +98,8 @@ func (e *Engine) PerTask(ctx context.Context, g *dag.Graph, ps bool) (*PerTaskRe
 		return nil, err
 	}
 	defer r.a.runGuard()
-	r.obs.phase(PhaseMinProcs)
-	deadlineCycles := r.cfg.Deadline * r.fref
-	hi := r.cfg.maxUsefulProcs(g)
-	nmin, err := r.sc.minProcsForDeadline(deadlineCycles, hi)
+	cands, err := r.candidates(g)
 	if err != nil {
-		return nil, err
-	}
-	r.obs.phase(PhaseSaturation)
-	nstop, err := r.sc.saturationPoint(nmin, hi)
-	if err != nil {
-		return nil, err
-	}
-	cands := r.a.cands[:0]
-	for n := nmin; n <= nstop; n++ {
-		cands = append(cands, candidate{n: n})
-	}
-	if nstop < hi {
-		cands = append(cands, candidate{n: hi})
-	}
-	r.a.cands = cands
-	if err := r.buildAll(cands); err != nil {
 		return nil, err
 	}
 
@@ -128,23 +111,29 @@ func (e *Engine) PerTask(ctx context.Context, g *dag.Graph, ps bool) (*PerTaskRe
 	}
 	slots := make([]slot, len(cands))
 	r.each(len(cands), func(i int) {
-		if r.cfg.heterogeneous() {
-			slots[i].res, slots[i].err = reclaimSchedulePlatform(r.ctx, cands[i].s, r.pf, r.cfg.Deadline, ps, &slots[i].stats)
-		} else {
-			slots[i].res, slots[i].err = reclaimSchedule(r.ctx, cands[i].s, r.pf.ClassModel(0), r.cfg.Deadline, ps, &slots[i].stats)
-		}
+		slots[i].res, slots[i].err = reclaimSchedule(r.ctx, cands[i].s, r.pf, r.cfg.Deadline, ps, &slots[i].stats)
 	})
 
 	var best *PerTaskResult
+	var firstErr error
 	stats := Stats{SchedulesBuilt: r.sc.builtCount()}
 	for i := range slots {
-		if slots[i].err != nil {
-			return nil, slots[i].err
-		}
 		stats.Add(slots[i].stats)
+		if err := slots[i].err; err != nil {
+			if !errors.Is(err, energy.ErrDeadline) {
+				return nil, err
+			}
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
 		if best == nil || slots[i].res.TotalEnergy() < best.TotalEnergy() {
 			best = slots[i].res
 		}
+	}
+	if best == nil {
+		return nil, wrapInfeasible(firstErr)
 	}
 	best.Stats = stats
 	// The winner's schedule is arena scratch about to be recycled; detach it.
@@ -152,19 +141,39 @@ func (e *Engine) PerTask(ctx context.Context, g *dag.Graph, ps bool) (*PerTaskRe
 	return best, nil
 }
 
-// reclaimSchedule applies per-task DVS to one fixed schedule. It checks ctx
-// once up front: one reclamation pass is the same order of work as one
-// ListSchedule call, the engine's cancellation granularity.
-func reclaimSchedule(ctx context.Context, s *sched.Schedule, m *power.Model, deadline float64, ps bool, stats *Stats) (*PerTaskResult, error) {
+// reclaimSchedule applies per-task DVS to one fixed schedule on platform pf:
+// every task picks a level from the ladder of its processor's class, and
+// idle gaps park at each class's own critical level. The latest-finish bound
+// uses the slowest class's maximum frequency —
+//
+//	lft(v) = D − (blevelAug(v) − w(v))/min_c f_max(c)
+//
+// — which is conservative (every downstream task runs at its own class's
+// maximum or faster), so a task finishing by lft(v) can never push the tail
+// past the deadline whatever the downstream placement. On one class the
+// bound divides by the model's f_max. reclaimSchedule checks ctx once up
+// front: one reclamation pass is the same order of work as one ListSchedule
+// call, the engine's cancellation granularity.
+func reclaimSchedule(ctx context.Context, s *sched.Schedule, pf *power.Platform, deadline float64, ps bool, stats *Stats) (*PerTaskResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	g := s.Graph
 	n := g.NumTasks()
-	fmax := m.FMax()
-	if float64(s.Makespan)/fmax > deadline*(1+1e-12) {
-		return nil, fmt.Errorf("%w: makespan %d cycles exceeds deadline %.6gs at f_max",
-			ErrInfeasible, s.Makespan, deadline)
+	if float64(s.Makespan)/pf.RefFMax() > deadline*(1+1e-12) {
+		// On a single class the timeline cycle is the model's own cycle.
+		unit, speed := "timeline cycles", "full speed"
+		if pf.IsHomogeneous() {
+			unit, speed = "cycles", "f_max"
+		}
+		return nil, fmt.Errorf("%w: makespan %d %s exceeds deadline %.6gs at %s",
+			energy.ErrDeadline, s.Makespan, unit, deadline, speed)
+	}
+	fmin := pf.ClassModel(0).FMax()
+	for c := 1; c < pf.NumClasses(); c++ {
+		if f := pf.ClassModel(c).FMax(); f < fmin {
+			fmin = f
+		}
 	}
 
 	// Augmented bottom levels: dependence edges plus same-processor ordering
@@ -208,43 +217,26 @@ func reclaimSchedule(ctx context.Context, s *sched.Schedule, m *power.Model, dea
 		StartSec:  make([]float64, n),
 		FinishSec: make([]float64, n),
 	}
-	crit := m.CriticalLevel()
-	minIdx := len(m.Levels()) - 1
-	if ps {
-		// Below the critical frequency, sleeping the saved time is cheaper
-		// than stretching into it.
-		minIdx = crit.Index
-	}
 	procFree := make([]float64, s.NumProcs)
 	var bd energy.Breakdown
-	idleLevel := crit // the parked operating point of an idle processor
-	pIdle := m.IdlePower(idleLevel)
-	breakeven := m.BreakevenTime(idleLevel)
-	chargeGap := func(t float64) {
-		if t <= 0 {
-			return
-		}
-		if ps && t > breakeven {
-			bd.Sleep += t * m.PSleep
-			bd.SleepTime += t
-			bd.Overhead += m.EOverhead
-			bd.Shutdowns++
-		} else {
-			bd.Idle += t * pIdle
-			bd.IdleTime += t
-		}
-	}
 
 	for i := n - 1; i >= 0; i-- { // order is by decreasing start: walk back-to-front
 		v := int(order[i])
 		w := g.Weight(v)
+		m := pf.ModelOf(int(s.Proc[v]))
+		minIdx := len(m.Levels()) - 1
+		if ps {
+			// Below the critical frequency, sleeping the saved time is
+			// cheaper than stretching into it.
+			minIdx = m.CriticalLevel().Index
+		}
 		st := procFree[s.Proc[v]]
 		for _, p := range g.Preds(v) {
 			if res.FinishSec[p] > st {
 				st = res.FinishSec[p]
 			}
 		}
-		lft := deadline - float64(blevelAug[v]-w)/fmax
+		lft := deadline - float64(blevelAug[v]-w)/fmin
 		// Slowest feasible level not below minIdx.
 		chosen := m.MaxLevel()
 		for idx := 1; idx <= minIdx; idx++ {
@@ -258,7 +250,7 @@ func reclaimSchedule(ctx context.Context, s *sched.Schedule, m *power.Model, dea
 		stats.LevelsEvaluated++
 		fin := st + float64(w)/chosen.Freq
 		if fin > deadline*(1+1e-9) {
-			return nil, fmt.Errorf("%w: task %d cannot meet its window", ErrInfeasible, v)
+			return nil, fmt.Errorf("%w: task %d cannot meet its window", energy.ErrDeadline, v)
 		}
 		res.Levels[v] = chosen
 		res.StartSec[v] = st
@@ -268,138 +260,31 @@ func reclaimSchedule(ctx context.Context, s *sched.Schedule, m *power.Model, dea
 		bd.ActiveTime += float64(w) / chosen.Freq
 	}
 
-	// Gap accounting per processor: leading, interior and trailing idle.
-	for p := 0; p < s.NumProcs; p++ {
-		tasks := s.TasksOn(p)
-		if len(tasks) == 0 {
-			continue // unused processors are off
-		}
-		cursor := 0.0
-		for _, v := range tasks {
-			chargeGap(res.StartSec[v] - cursor)
-			cursor = res.FinishSec[v]
-		}
-		chargeGap(deadline - cursor)
+	// Every processor parks at its own class's critical level when idle.
+	park := make([]power.Level, s.NumProcs)
+	for p := range park {
+		park[p] = pf.ModelOf(p).CriticalLevel()
 	}
+	chargeGaps(&bd, s, pf, park, res.StartSec, res.FinishSec, deadline, ps)
 	res.Energy = bd
 	return res, nil
 }
 
-// reclaimSchedulePlatform is reclaimSchedule on a heterogeneous platform:
-// every task picks a level from the ladder of *its processor's class*, and
-// idle gaps park at each class's own critical level. The latest-finish bound
-// uses the slowest class's maximum frequency —
-//
-//	lft(v) = D − (blevelAug(v) − w(v))/min_c f_max(c)
-//
-// — which is conservative (every downstream task runs at its own class's
-// maximum or faster), so a task finishing by lft(v) can never push the tail
-// past the deadline whatever the downstream placement.
-func reclaimSchedulePlatform(ctx context.Context, s *sched.Schedule, pf *power.Platform, deadline float64, ps bool, stats *Stats) (*PerTaskResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	g := s.Graph
-	n := g.NumTasks()
-	if float64(s.Makespan)/pf.RefFMax() > deadline*(1+1e-12) {
-		return nil, fmt.Errorf("%w: makespan %d timeline cycles exceeds deadline %.6gs at full speed",
-			ErrInfeasible, s.Makespan, deadline)
-	}
-	fmin := pf.ClassModel(0).FMax()
-	for c := 1; c < pf.NumClasses(); c++ {
-		if f := pf.ClassModel(c).FMax(); f < fmin {
-			fmin = f
-		}
-	}
-
-	// Augmented bottom levels, exactly as in the homogeneous pass.
-	procNext := make([]int32, n)
-	for v := range procNext {
-		procNext[v] = -1
-	}
-	for p := 0; p < s.NumProcs; p++ {
-		tasks := s.TasksOn(p)
-		for i := 0; i+1 < len(tasks); i++ {
-			procNext[tasks[i]] = tasks[i+1]
-		}
-	}
-	order := make([]int32, n)
-	for v := range order {
-		order[v] = int32(v)
-	}
-	sort.Slice(order, func(i, j int) bool { return s.Start[order[i]] > s.Start[order[j]] })
-	blevelAug := make([]int64, n)
-	for _, v := range order {
-		var succMax int64
-		for _, u := range g.Succs(int(v)) {
-			if blevelAug[u] > succMax {
-				succMax = blevelAug[u]
-			}
-		}
-		if u := procNext[v]; u >= 0 && blevelAug[u] > succMax {
-			succMax = blevelAug[u]
-		}
-		blevelAug[v] = g.Weight(int(v)) + succMax
-	}
-
-	res := &PerTaskResult{
-		Graph:     g,
-		NumProcs:  s.NumProcs,
-		Schedule:  s,
-		Levels:    make([]power.Level, n),
-		StartSec:  make([]float64, n),
-		FinishSec: make([]float64, n),
-	}
-	procFree := make([]float64, s.NumProcs)
-	var bd energy.Breakdown
-
-	for i := n - 1; i >= 0; i-- { // order is by decreasing start: walk back-to-front
-		v := int(order[i])
-		w := g.Weight(v)
-		m := pf.ModelOf(int(s.Proc[v]))
-		minIdx := len(m.Levels()) - 1
-		if ps {
-			minIdx = m.CriticalLevel().Index
-		}
-		st := procFree[s.Proc[v]]
-		for _, p := range g.Preds(v) {
-			if res.FinishSec[p] > st {
-				st = res.FinishSec[p]
-			}
-		}
-		lft := deadline - float64(blevelAug[v]-w)/fmin
-		chosen := m.MaxLevel()
-		for idx := 1; idx <= minIdx; idx++ {
-			l := m.Level(idx)
-			if st+float64(w)/l.Freq <= lft*(1+1e-12) {
-				chosen = l
-			} else {
-				break
-			}
-		}
-		stats.LevelsEvaluated++
-		fin := st + float64(w)/chosen.Freq
-		if fin > deadline*(1+1e-9) {
-			return nil, fmt.Errorf("%w: task %d cannot meet its window", ErrInfeasible, v)
-		}
-		res.Levels[v] = chosen
-		res.StartSec[v] = st
-		res.FinishSec[v] = fin
-		procFree[s.Proc[v]] = fin
-		bd.Active += float64(w) / chosen.Freq * m.LevelPower(chosen)
-		bd.ActiveTime += float64(w) / chosen.Freq
-	}
-
-	// Gap accounting per processor, parked at its own class's critical level.
+// chargeGaps adds the idle energy of a re-timed schedule to bd: the
+// leading, interior and trailing gaps up to the deadline of every used
+// processor, in processor order then task order (unused processors are
+// off). Processor p idles at level park[p] of its class, or — with ps, in a
+// gap longer than that level's break-even time — sleeps through the gap.
+func chargeGaps(bd *energy.Breakdown, s *sched.Schedule, pf *power.Platform, park []power.Level,
+	startSec, finishSec []float64, deadline float64, ps bool) {
 	for p := 0; p < s.NumProcs; p++ {
 		tasks := s.TasksOn(p)
 		if len(tasks) == 0 {
-			continue // unused processors are off
+			continue
 		}
 		m := pf.ModelOf(p)
-		idleLevel := m.CriticalLevel()
-		pIdle := m.IdlePower(idleLevel)
-		breakeven := m.BreakevenTime(idleLevel)
+		pIdle := m.IdlePower(park[p])
+		breakeven := m.BreakevenTime(park[p])
 		charge := func(t float64) {
 			if t <= 0 {
 				return
@@ -416,11 +301,9 @@ func reclaimSchedulePlatform(ctx context.Context, s *sched.Schedule, pf *power.P
 		}
 		cursor := 0.0
 		for _, v := range tasks {
-			charge(res.StartSec[v] - cursor)
-			cursor = res.FinishSec[v]
+			charge(startSec[v] - cursor)
+			cursor = finishSec[v]
 		}
 		charge(deadline - cursor)
 	}
-	res.Energy = bd
-	return res, nil
 }

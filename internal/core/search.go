@@ -172,7 +172,10 @@ func nLowerBound(g *dag.Graph, deadlineCycles float64) int {
 // minimal number of processors whose LS-EDF makespan meets the deadline
 // (deadline in cycles at maximum frequency). The search interval is
 // [N_lwb, hi]; monotonicity of the makespan in the processor count is
-// assumed, as in the paper.
+// assumed, as in the paper. A makespan meets the deadline with the energy
+// layer's relative tolerance of 1e-12, so a deadline set to a makespan in
+// seconds, which can round one ulp below it in cycles, still admits that
+// count here exactly as it does when the energy is evaluated.
 func (sc *scheduler) minProcsForDeadline(deadlineCycles float64, hi int) (int, error) {
 	lo := nLowerBound(sc.g, deadlineCycles)
 	if lo > hi {
@@ -182,7 +185,7 @@ func (sc *scheduler) minProcsForDeadline(deadlineCycles float64, hi int) (int, e
 	if err != nil {
 		return 0, err
 	}
-	if float64(mk) > deadlineCycles {
+	if float64(mk) > deadlineCycles*(1+1e-12) {
 		return 0, fmt.Errorf("%w: makespan %d cycles on %d processors, deadline %.0f cycles",
 			ErrInfeasible, mk, hi, deadlineCycles)
 	}
@@ -192,7 +195,7 @@ func (sc *scheduler) minProcsForDeadline(deadlineCycles float64, hi int) (int, e
 		if err != nil {
 			return 0, err
 		}
-		if float64(mk) <= deadlineCycles {
+		if float64(mk) <= deadlineCycles*(1+1e-12) {
 			hi = mid
 		} else {
 			lo = mid + 1

@@ -42,9 +42,11 @@ type Outcome struct {
 //     and shutting a gap down is chosen per gap only when it is cheaper.
 //   - LAMPS ≤ S&S and LAMPS+PS ≤ S&S+PS: the LAMPS candidate set always
 //     contains the S&S processor count.
-//   - LAMPS feasible ⇒ S&S feasible (both are decided by the same maximal
-//     processor count meeting the deadline), and a heuristic and its +PS
-//     variant are feasible on exactly the same instances.
+//   - LAMPS and S&S are feasible on exactly the same instances: LAMPS is
+//     feasible only if the maximal processor count meets the deadline, and
+//     its candidate set always contains that count, which is S&S's. A
+//     heuristic and its +PS variant are likewise feasible on exactly the
+//     same instances.
 func Results(outs []Outcome) error {
 	by := make(map[string]*Outcome, len(outs))
 	for i := range outs {
@@ -91,6 +93,8 @@ func Results(outs []Outcome) error {
 		le(ApproachLAMPSPS, ApproachSSPS),
 		implies(ApproachLAMPS, ApproachSS),
 		implies(ApproachLAMPSPS, ApproachSSPS),
+		implies(ApproachSS, ApproachLAMPS),
+		implies(ApproachSSPS, ApproachLAMPSPS),
 		implies(ApproachSS, ApproachSSPS),
 		implies(ApproachSSPS, ApproachSS),
 		implies(ApproachLAMPS, ApproachLAMPSPS),

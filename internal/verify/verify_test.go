@@ -208,6 +208,8 @@ func TestResults(t *testing.T) {
 		{"+PS worse than base", []Outcome{{ApproachSS, true, 1}, {ApproachSSPS, true, 1.5}}},
 		{"LAMPS worse than S&S", []Outcome{{ApproachSS, true, 1}, {ApproachLAMPS, true, 1.5}}},
 		{"LAMPS feasible, S&S not", []Outcome{{ApproachLAMPS, true, 1}, {ApproachSS, false, 0}}},
+		{"S&S feasible, LAMPS not", []Outcome{{ApproachSS, true, 1}, {ApproachLAMPS, false, 0}}},
+		{"S&S+PS feasible, LAMPS+PS not", []Outcome{{ApproachSSPS, true, 1}, {ApproachLAMPSPS, false, 0}}},
 		{"base feasible, +PS not", []Outcome{{ApproachSS, true, 1}, {ApproachSSPS, false, 0}}},
 	}
 	for _, tc := range bad {
